@@ -99,7 +99,7 @@ type PayChan struct {
 	shard   *bidShard
 	created time.Duration // clock reading at creation; immutable
 
-	paid     atomic.Int64 // bytes credited
+	paid     atomic.Int64 // bytes credited, plus settledBit once settled
 	lastPay  atomic.Int64 // clock reading (ns) of the last credit
 	state    atomic.Int32 // ChanState word
 	eligible atomic.Bool  // request message has arrived
@@ -124,8 +124,15 @@ type PayChan struct {
 // ID returns the channel's request id.
 func (c *PayChan) ID() RequestID { return c.id }
 
+// settledBit marks a settled channel inside its paid word. Folding
+// the flag into the balance makes settle-vs-credit one linearization
+// point: Remove sets it with a single Or whose old value is the final
+// price, and a Credit whose Add result carries it knows its bytes
+// landed after the settle. Balances never approach 2^62 bytes.
+const settledBit = int64(1) << 62
+
 // Paid returns the bytes credited so far.
-func (c *PayChan) Paid() int64 { return c.paid.Load() }
+func (c *PayChan) Paid() int64 { return c.paid.Load() &^ settledBit }
 
 // State returns the channel's lifecycle word. Payment loops poll this
 // between chunks; a non-active value means stop reading and report the
@@ -140,17 +147,11 @@ func (c *PayChan) Credit(bytes int64, now time.Duration) bool {
 	if bytes < 0 {
 		panic("core: negative payment")
 	}
-	if ChanState(c.state.Load()) != ChanActive {
-		return false
-	}
-	c.paid.Add(bytes)
-	if ChanState(c.state.Load()) != ChanActive {
-		// Settled between the check and the add: roll back so the
-		// caller's tally, the shard totals, and the recorded admission
-		// price stay aligned. (A settle racing the handful of
-		// instructions between the add and this re-check can still
-		// capture or miss one in-flight chunk in the price — bounded,
-		// stats-only, and unavoidable without locking the hot path.)
+	if c.paid.Add(bytes)&settledBit != 0 {
+		// Settled before the add: the settle's Or already captured the
+		// final price without these bytes, so roll them back and keep
+		// the caller's tally, the shard totals, and the recorded
+		// admission price exactly aligned.
 		c.paid.Add(-bytes)
 		return false
 	}
@@ -337,7 +338,7 @@ func (s *bidShard) drainDirtyLocked() {
 		// orders its dirtyNext write after ours.
 		c.inDirty.Store(false)
 		if c.heapIdx >= 0 {
-			if k := c.paid.Load(); k != c.hkey {
+			if k := c.Paid(); k != c.hkey {
 				c.hkey = k
 				s.heapUp(int(c.heapIdx))
 			}
@@ -549,7 +550,7 @@ func (t *BidTable) MarkEligible(id RequestID, now time.Duration) {
 		// onto the dirty stack, so no payment can be missing from both
 		// the snapshot and the next drain.
 		c.eligible.Store(true)
-		c.hkey = c.paid.Load()
+		c.hkey = c.Paid()
 		s.heapPush(c)
 		s.nelig.Add(1)
 		t.scheduleExpiryLocked(s, c, time.Duration(c.lastPay.Load())+t.inactT)
@@ -581,8 +582,11 @@ func (t *BidTable) Remove(id RequestID, final ChanState) int64 {
 		s.touched.Store(true)
 	}
 	s.mu.Unlock()
+	// The Or is the settle's linearization point: credits whose Add
+	// preceded it are in the price, later ones see settledBit and roll
+	// back. The state word follows for the transports' polling.
+	paid := c.paid.Or(settledBit) &^ settledBit
 	c.state.CompareAndSwap(int32(ChanActive), int32(final))
-	paid := c.paid.Load()
 	s.removed.Add(paid)
 	return paid
 }
@@ -649,7 +653,7 @@ func (t *BidTable) WinnerByScan() (id RequestID, paid int64, ok bool) {
 			if !c.eligible.Load() {
 				continue
 			}
-			p := c.paid.Load()
+			p := c.Paid()
 			if !ok || p > paid || (p == paid && cid < id) {
 				id, paid, ok = cid, p, true
 			}
@@ -765,7 +769,7 @@ func (t *BidTable) Inactive(dst []RequestID, cutoff time.Duration) []RequestID {
 // Balance returns id's current balance (0 if unknown).
 func (t *BidTable) Balance(id RequestID) int64 {
 	if c := t.Lookup(id); c != nil {
-		return c.paid.Load()
+		return c.Paid()
 	}
 	return 0
 }
@@ -801,7 +805,7 @@ func (t *BidTable) OutstandingBytes() int64 {
 		s := &t.shards[i]
 		s.mu.RLock()
 		for _, c := range s.chans {
-			sum += c.paid.Load()
+			sum += c.Paid()
 		}
 		s.mu.RUnlock()
 	}

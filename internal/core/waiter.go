@@ -6,9 +6,14 @@ package core
 // the front's admit/evict callbacks deliver through it.
 type Waiter interface {
 	// Deliver hands the waiter its outcome: the origin's response body
-	// on admission, or nil on eviction. Called from the front's
-	// dispatch paths — possibly with the control mutex held — so
-	// implementations must not block.
+	// on admission, or nil on eviction. It is called at most once per
+	// registration, after the front has taken the registration out of
+	// the table, from the front's dispatch paths — possibly with the
+	// control mutex held. Implementations must not block and must not
+	// take a lock their transport holds while calling into the front
+	// (Arrive, ReleaseWaiter), or the two can deadlock. A transport
+	// that keeps per-request state should have Deliver only flag it
+	// done and reclaim it from its own goroutine.
 	Deliver(body []byte)
 }
 

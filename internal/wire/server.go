@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"speakup/internal/core"
@@ -152,17 +153,36 @@ type event struct {
 }
 
 // connChan is the reader-goroutine-owned state of one channel id on
-// one connection.
+// one connection. It is created by the id's first OPEN or CREDIT and
+// lives until the connection's retirement pass finds it dead (see
+// retire): its waiter delivered, released, or never registered, and
+// its cached channel nil or settled. A retired id is indistinguishable
+// from one the connection never saw, so a later frame for it simply
+// creates a fresh entry.
 type connChan struct {
+	// pc caches the id's payment channel; nil until the first CREDIT
+	// (and again after an OPEN, so the next credit re-resolves).
 	pc *core.PayChan
 	// w is the waiter registered by OPEN, nil for pay-only (orphan)
-	// channels or after CLOSE released it.
+	// channels or after CLOSE released it. A delivered waiter stays
+	// until retirement; it no longer holds a registration.
 	w *connWaiter
 	// notified records that this channel resolution already got its
 	// terminal orphan event, so a flood of post-settle CREDIT spans
 	// produces one event, not thousands.
 	notified bool
 }
+
+// dead reports whether cc holds nothing the connection still needs:
+// no undelivered waiter and no active payment channel.
+func (cc *connChan) dead() bool {
+	return (cc.w == nil || cc.w.delivered.Load()) &&
+		(cc.pc == nil || cc.pc.State() != core.ChanActive)
+}
+
+// minRetireAt is the channel-map size below which a connection never
+// runs a retirement pass: small maps are cheap to keep whole.
+const minRetireAt = 64
 
 // conn is one wire connection: a reader goroutine that owns the
 // decoder and channel map, and a writer goroutine that coalesces
@@ -177,17 +197,19 @@ type conn struct {
 
 	// Reader-owned state below (the Sink implementation).
 	chans    map[uint64]*connChan
+	retireAt int           // len(chans) that triggers the next retire pass
 	now      time.Duration // refreshed once per socket read
 	credited int64         // bytes credited during the current read
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
 	return &conn{
-		srv:    s,
-		nc:     nc,
-		out:    make(chan event, s.cfg.EventQueue),
-		closed: make(chan struct{}),
-		chans:  make(map[uint64]*connChan),
+		srv:      s,
+		nc:       nc,
+		out:      make(chan event, s.cfg.EventQueue),
+		closed:   make(chan struct{}),
+		chans:    make(map[uint64]*connChan),
+		retireAt: minRetireAt,
 	}
 }
 
@@ -217,17 +239,22 @@ var (
 	shedBody   = []byte("origin brownout: auctions paused, retry shortly")
 )
 
-// connWaiter adapts a conn to core.Waiter for one channel id. Deliver
-// runs on front goroutines (admit's origin worker, the sweep), never
-// the conn's own; it only touches the event queue.
+// connWaiter adapts a conn to core.Waiter for one OPEN of one channel
+// id. Deliver runs on front goroutines (admit's origin worker, the
+// sweep under the control lock), never the conn's own; it touches only
+// the delivered flag and the event queue, so it shares no lock with
+// the reader and never blocks. The reader reads the flag to retire the
+// entry.
 type connWaiter struct {
-	c  *conn
-	ch uint64
+	c         *conn
+	ch        uint64
+	delivered atomic.Bool
 }
 
 // Deliver implements core.Waiter: the held request's outcome becomes
 // a server→client event.
 func (w *connWaiter) Deliver(body []byte) {
+	w.delivered.Store(true)
 	if body == nil {
 		w.c.send(OpEvict, w.ch, evictBody)
 		return
@@ -289,13 +316,35 @@ func (c *conn) serve() {
 	}
 }
 
+// state returns ch's entry, creating it if the connection has none.
+// Creation is where the map grows, so it is also where a retirement
+// pass runs once the map has doubled since the last one.
 func (c *conn) state(ch uint64) *connChan {
 	cc := c.chans[ch]
 	if cc == nil {
+		if len(c.chans) >= c.retireAt {
+			c.retire()
+		}
 		cc = &connChan{}
 		c.chans[ch] = cc
 	}
 	return cc
+}
+
+// retire deletes every dead entry (see connChan.dead), dropping the
+// references that would otherwise pin each settled PayChan and
+// delivered waiter for the connection's lifetime. Passes run only when
+// the map has doubled, so their cost amortizes to O(1) per created
+// entry and the map stays within about twice the live channels. The
+// decoder creates entries only at frame starts, so a pass never lands
+// inside another id's CREDIT frame.
+func (c *conn) retire() {
+	for id, cc := range c.chans {
+		if cc.dead() {
+			delete(c.chans, id)
+		}
+	}
+	c.retireAt = max(2*len(c.chans), minRetireAt)
 }
 
 // Open implements Sink: the re-issued request arrives. Verdicts map
